@@ -168,7 +168,7 @@ func BenchmarkGIISStrategies(b *testing.B) {
 	}{
 		{"chaining", func() giis.Strategy { return giis.NewChaining() }},
 		{"cached-index", func() giis.Strategy { return giis.NewCachedIndex(time.Hour) }},
-		{"bloom-routed", func() giis.Strategy { return giis.NewBloomRouted(time.Hour, 1<<14) }},
+		{"bloom-routed", func() giis.Strategy { return giis.NewBloomRouted(time.Hour) }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -88,17 +88,6 @@ func main() {
 	}
 	var strat giis.Strategy
 	switch *strategy {
-	case "chain":
-		chain := giis.NewChaining()
-		chain.MaxFanout = *fanout
-		chain.HedgeDeadline = *hedge
-		strat = chain
-	case "cache":
-		strat = giis.NewCachedIndex(*cacheTTL)
-	case "referral":
-		strat = giis.NewReferral()
-	case "bloom":
-		strat = giis.NewBloomRouted(*cacheTTL, 1<<16)
 	case "sharded":
 		if *ringSpec == "" || *shardID == "" {
 			log.Fatal("giis: -strategy sharded requires -shard-ring and -shard-id")
@@ -124,7 +113,13 @@ func main() {
 		sh.SummaryTTL = *cacheTTL
 		strat = sh
 	default:
-		log.Fatalf("giis: unknown strategy %q", *strategy)
+		if strat, err = giis.NewStrategy(*strategy, *cacheTTL); err != nil {
+			log.Fatalf("giis: %v", err)
+		}
+		if chain, ok := strat.(*giis.Chaining); ok {
+			chain.MaxFanout = *fanout
+			chain.HedgeDeadline = *hedge
+		}
 	}
 
 	selfURL, err := ldap.ParseURL("ldap://" + advertised(*listen))

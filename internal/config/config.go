@@ -184,10 +184,8 @@ func (t *Topology) finish(b *blockState, lineNo int) error {
 		if d.TTL, err = b.duration("ttl", 2*time.Minute); err != nil {
 			return err
 		}
-		switch d.Strategy {
-		case "chain", "cache", "referral", "bloom":
-		default:
-			return fmt.Errorf("config: directory %q: unknown strategy %q", b.name, d.Strategy)
+		if _, err := giis.NewStrategy(d.Strategy, d.CacheTTL); err != nil {
+			return fmt.Errorf("config: directory %q: %w", b.name, err)
 		}
 		t.Directories = append(t.Directories, d)
 	case "host":
@@ -284,16 +282,9 @@ func (t *Topology) Build() (*Built, error) {
 		return nil, err
 	}
 	for _, d := range t.Directories {
-		var strategy giis.Strategy
-		switch d.Strategy {
-		case "chain":
-			strategy = giis.NewChaining()
-		case "cache":
-			strategy = giis.NewCachedIndex(d.CacheTTL)
-		case "referral":
-			strategy = giis.NewReferral()
-		case "bloom":
-			strategy = giis.NewBloomRouted(d.CacheTTL, 1<<14)
+		strategy, err := giis.NewStrategy(d.Strategy, d.CacheTTL)
+		if err != nil {
+			return fail(fmt.Errorf("config: directory %q: %w", d.Name, err))
 		}
 		node, err := g.AddDirectory(d.Name, core.DirectoryOptions{
 			Suffix: d.Suffix, Strategy: strategy, AcceptVO: d.AcceptVO})

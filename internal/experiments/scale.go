@@ -215,7 +215,7 @@ func runBloom(w io.Writer) error {
 		return err
 	}
 	defer g.Close()
-	strategy := giis.NewBloomRouted(time.Hour, 1<<14)
+	strategy := giis.NewBloomRouted(time.Hour)
 	dir, err := g.AddDirectory("dir", core.DirectoryOptions{Suffix: "vo=v", Strategy: strategy})
 	if err != nil {
 		return err

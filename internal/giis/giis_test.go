@@ -376,7 +376,7 @@ func TestReferralStrategy(t *testing.T) {
 }
 
 func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
-	strategy := NewBloomRouted(time.Hour, 1<<14)
+	strategy := NewBloomRouted(time.Hour)
 	r := newRig(t, strategy)
 	r.addHost("hostA", 1) // both hosts are linux/ia32 in the rig
 	r.addHost("hostB", 2)
@@ -407,6 +407,53 @@ func TestBloomRoutedSkipsNonMatchingChildren(t *testing.T) {
 	}
 	if r.giis.ChainedOps.Value() != base+1 {
 		t.Errorf("chains = %d, want exactly one", r.giis.ChainedOps.Value()-base)
+	}
+}
+
+// TestBloomRoutedUnreachableChildFailsOpen: a child whose summary cannot be
+// fetched is still chained to on every search (fail-open), but its failed
+// summary fetch is cached, so it is re-dialed for a summary at most once
+// per TTL.
+func TestBloomRoutedUnreachableChildFailsOpen(t *testing.T) {
+	const ttl = time.Minute
+	ghostDials := 0
+	r := newRig(t, NewBloomRouted(ttl), func(cfg *Config) {
+		dial := cfg.Dial
+		cfg.Dial = func(url ldap.URL) (*ldap.Client, error) {
+			if url.Address() == "ghost-node:389" {
+				ghostDials++
+			}
+			return dial(url)
+		}
+	})
+	r.addHost("hostA", 1)
+	now := r.clock.Now()
+	if !r.giis.Ingest(&grrp.Message{Type: grrp.TypeRegister, ServiceURL: "sim://ghost-node:389",
+		MDSType: "gris", SuffixDN: "hn=ghost, o=center1", IssuedAt: now,
+		ValidUntil: now.Add(time.Hour)}) {
+		t.Fatal("ghost registration refused")
+	}
+	req := &ldap.SearchRequest{BaseDN: "vo=alliance", Scope: ldap.ScopeWholeSubtree,
+		Filter: ldap.MustParseFilter("(&(objectclass=computer)(hn=hostA))")}
+
+	const searches = 4
+	for i := 1; i <= searches; i++ {
+		entries, res := r.search(req)
+		if len(entries) != 1 || entries[0].First("hn") != "hostA" {
+			t.Fatalf("search %d: entries = %v", i, entries)
+		}
+		if res.Message == "" {
+			t.Fatalf("search %d: unreachable child not flagged partial: %+v", i, res)
+		}
+		// One summary fetch in the first search, then one chain per search.
+		if want := i + 1; ghostDials != want {
+			t.Fatalf("after %d searches within the TTL: ghost dials = %d, want %d", i, ghostDials, want)
+		}
+	}
+	r.clock.Advance(ttl + time.Second)
+	r.search(req)
+	if want := searches + 3; ghostDials != want {
+		t.Fatalf("after the TTL: ghost dials = %d, want %d (one summary retry + one chain)", ghostDials, want)
 	}
 }
 
@@ -544,7 +591,7 @@ func TestSizeLimitAcrossLocalAndChained(t *testing.T) {
 
 func TestStrategyNames(t *testing.T) {
 	for _, s := range []Strategy{NewChaining(), NewCachedIndex(time.Minute),
-		NewReferral(), NewBloomRouted(time.Minute, 1024)} {
+		NewReferral(), NewBloomRouted(time.Minute)} {
 		if s.Name() == "" {
 			t.Error("empty strategy name")
 		}

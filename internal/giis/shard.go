@@ -68,7 +68,7 @@ type Sharded struct {
 	localSummaryVer uint64
 	localSummaryOK  bool
 	// summaries caches peer summaries by member ID.
-	summaries map[string]*peerSummary
+	summaries summaryCache
 
 	// Stats, registered under giis_shard_* when the server has an obs
 	// registry.
@@ -79,14 +79,6 @@ type Sharded struct {
 	PeerReferrals    obs.Counter // referral URLs returned to clients
 	BloomSkipped     obs.Counter // scatter fan-outs skipped by summaries
 	DupDropped       obs.Counter // duplicate entries dropped by DN dedup
-}
-
-type peerSummary struct {
-	filter    *bloom.Filter
-	fetchedAt time.Time
-	// failed records an unreachable fetch so the next attempt waits for
-	// the TTL instead of re-dialing a down peer on every search.
-	failed bool
 }
 
 // DefaultShardSummaryTTL bounds peer-summary staleness when unset.
@@ -115,7 +107,7 @@ func (sh *Sharded) attach(s *Server) {
 	if len(sh.SummaryAttrs) == 0 {
 		sh.SummaryAttrs = shard.DefaultSummaryAttrs
 	}
-	sh.summaries = map[string]*peerSummary{}
+	sh.summaries.ttl = sh.SummaryTTL
 	sh.planner = shard.NewPlanner(sh.Ring, sh.Self, sh.Replicas, s.cfg.Suffix, sh.KeyAttrs)
 
 	// Ownership enforcement: registrations hashing to other shards are
@@ -399,7 +391,9 @@ func (sh *Sharded) searchProxy(ctx *SearchContext, local []Child, plan *shard.Pl
 		now := sh.s.clock.Now()
 		for _, m := range plan.Remote {
 			if len(terms) > 0 {
-				if f := sh.peerSummaryFor(m, now); f != nil && !summaryMayMatch(f, terms) {
+				if f := sh.summaries.get(m.ID, now, func() *bloom.Filter {
+					return sh.fetchSummary(m)
+				}); f != nil && !summaryMayMatch(f, terms) {
 					sh.BloomSkipped.Inc()
 					continue
 				}
@@ -504,11 +498,7 @@ func (sh *Sharded) localSummaryBytes() []byte {
 	for _, c := range children {
 		terms = append(terms, shard.SuffixTerms(c.Suffix)...)
 	}
-	f := bloom.NewForCapacity(len(terms), 0.01)
-	for _, t := range terms {
-		f.Add(t)
-	}
-	b, err := f.MarshalBinary()
+	b, err := newSummary(terms).MarshalBinary()
 	if err != nil {
 		return nil
 	}
@@ -518,28 +508,8 @@ func (sh *Sharded) localSummaryBytes() []byte {
 	return b
 }
 
-// peerSummaryFor returns the cached Bloom summary for a peer, fetching over
-// the shard-summary extended operation when stale. Unavailable summaries
-// fail open (nil): the peer is queried anyway, and the failure is cached
-// for a TTL so a down peer is not re-dialed per search.
-func (sh *Sharded) peerSummaryFor(m shard.Member, now time.Time) *bloom.Filter {
-	sh.mu.Lock()
-	ps, ok := sh.summaries[m.ID]
-	if ok && now.Sub(ps.fetchedAt) < sh.SummaryTTL {
-		sh.mu.Unlock()
-		if ps.failed {
-			return nil
-		}
-		return ps.filter
-	}
-	sh.mu.Unlock()
-	f := sh.fetchSummary(m)
-	sh.mu.Lock()
-	sh.summaries[m.ID] = &peerSummary{filter: f, fetchedAt: now, failed: f == nil}
-	sh.mu.Unlock()
-	return f
-}
-
+// fetchSummary fetches a peer's Bloom summary over the shard-summary
+// extended operation; nil when the peer is unreachable.
 func (sh *Sharded) fetchSummary(m shard.Member) *bloom.Filter {
 	pe, err := sh.s.acquire(m.URL)
 	if err != nil {

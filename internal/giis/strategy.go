@@ -1,6 +1,7 @@
 package giis
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -8,6 +9,23 @@ import (
 	"mds2/internal/ldap"
 	"mds2/internal/qcache"
 )
+
+// NewStrategy builds a strategy by its configuration name: chain | cache |
+// referral | bloom. ttl is the index freshness of cache and the summary
+// freshness of bloom.
+func NewStrategy(name string, ttl time.Duration) (Strategy, error) {
+	switch name {
+	case "chain":
+		return NewChaining(), nil
+	case "cache":
+		return NewCachedIndex(ttl), nil
+	case "referral":
+		return NewReferral(), nil
+	case "bloom":
+		return NewBloomRouted(ttl), nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q", name)
+}
 
 // SearchContext carries one data search through a strategy.
 type SearchContext struct {
@@ -334,32 +352,28 @@ func (r *Referral) Search(ctx *SearchContext) ldap.Result {
 type BloomRouted struct {
 	// TTL bounds summary staleness.
 	TTL time.Duration
-	// Bits sizes each summary (experiment E5 sweeps this).
-	Bits uint64
 
-	s  *Server
+	s *Server
+	// summaries caches child summaries by service key.
+	summaries summaryCache
+
 	mu sync.Mutex
-	// summaries maps child service keys to their term filters.
-	summaries map[string]*summary
-
 	// SkippedChildren counts chains avoided by summary misses.
 	SkippedChildren int
 }
 
-type summary struct {
-	filter    *bloom.Filter
-	fetchedAt time.Time
-}
-
 // NewBloomRouted returns the Bloom-routed chaining strategy.
-func NewBloomRouted(ttl time.Duration, bits uint64) *BloomRouted {
-	return &BloomRouted{TTL: ttl, Bits: bits, summaries: map[string]*summary{}}
+func NewBloomRouted(ttl time.Duration) *BloomRouted {
+	return &BloomRouted{TTL: ttl}
 }
 
 // Name implements Strategy.
 func (b *BloomRouted) Name() string { return "bloom-routed" }
 
-func (b *BloomRouted) attach(s *Server) { b.s = s }
+func (b *BloomRouted) attach(s *Server) {
+	b.s = s
+	b.summaries.ttl = b.TTL
+}
 
 // Search implements Strategy.
 func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
@@ -372,7 +386,9 @@ func (b *BloomRouted) Search(ctx *SearchContext) ldap.Result {
 			continue
 		}
 		if len(terms) > 0 {
-			if sm := b.summaryFor(child, now); sm != nil && !summaryMayMatch(sm.filter, terms) {
+			if f := b.summaries.get(child.URL.ServiceKey(), now, func() *bloom.Filter {
+				return b.fetchSummary(child)
+			}); f != nil && !summaryMayMatch(f, terms) {
 				b.mu.Lock()
 				b.SkippedChildren++
 				b.mu.Unlock()
@@ -411,30 +427,63 @@ func summaryMayMatch(f *bloom.Filter, terms []string) bool {
 	return true
 }
 
-func (b *BloomRouted) summaryFor(child Child, now time.Time) *summary {
-	key := child.URL.ServiceKey()
-	b.mu.Lock()
-	sm, ok := b.summaries[key]
-	if ok && now.Sub(sm.fetchedAt) < b.TTL {
-		b.mu.Unlock()
-		return sm
-	}
-	b.mu.Unlock()
+// fetchSummary summarizes a child's whole subtree; nil when the child is
+// unreachable.
+func (b *BloomRouted) fetchSummary(child Child) *bloom.Filter {
 	entries, err := b.s.chain(nil, child, child.ViewSuffix, ldap.ScopeWholeSubtree, nil, nil, 0)
 	if err != nil {
-		return nil // no summary: fail open (chain anyway)
+		return nil
 	}
-	f := bloom.New(b.Bits, 4)
+	var terms []string
 	for _, e := range entries {
-		for _, t := range EntryTerms(e) {
-			f.Add(t)
-		}
+		terms = append(terms, EntryTerms(e)...)
 	}
-	sm = &summary{filter: f, fetchedAt: now}
-	b.mu.Lock()
-	b.summaries[key] = sm
-	b.mu.Unlock()
-	return sm
+	return newSummary(terms)
+}
+
+// summaryCache is the one cache of Bloom summaries, shared by BloomRouted
+// (per child) and Sharded (per peer): each source's summary stays fresh for
+// ttl. A failed fetch is cached as nil for the ttl too, so an unreachable
+// source fails open (the caller queries it anyway) without being re-dialed
+// for a summary on every search.
+type summaryCache struct {
+	ttl time.Duration
+
+	mu sync.Mutex
+	m  map[string]cachedSummary
+}
+
+type cachedSummary struct {
+	filter    *bloom.Filter
+	fetchedAt time.Time
+}
+
+// get returns key's summary, calling fetch when it is missing or stale.
+func (c *summaryCache) get(key string, now time.Time, fetch func() *bloom.Filter) *bloom.Filter {
+	c.mu.Lock()
+	cs, ok := c.m[key]
+	c.mu.Unlock()
+	if ok && now.Sub(cs.fetchedAt) < c.ttl {
+		return cs.filter
+	}
+	f := fetch()
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[string]cachedSummary{}
+	}
+	c.m[key] = cachedSummary{filter: f, fetchedAt: now}
+	c.mu.Unlock()
+	return f
+}
+
+// newSummary builds a Bloom summary of terms, sized for their count at a
+// 1% false-positive rate.
+func newSummary(terms []string) *bloom.Filter {
+	f := bloom.NewForCapacity(len(terms), 0.01)
+	for _, t := range terms {
+		f.Add(t)
+	}
+	return f
 }
 
 // EntryTerms enumerates the lowercase attr=value terms of an entry, the

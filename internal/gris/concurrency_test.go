@@ -1,6 +1,7 @@
 package gris
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,4 +133,97 @@ func BenchmarkCacheStampede(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(backend.calls.Load()), "invocations")
+}
+
+// gatedBackend is a cacheable backend whose invocations block until release
+// closes, then return err (nil: no entries). It counts executions.
+type gatedBackend struct {
+	ttl     time.Duration
+	err     error
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (b *gatedBackend) Name() string            { return "gated" }
+func (b *gatedBackend) Suffix() ldap.DN         { return hostDN() }
+func (b *gatedBackend) Attributes() []string    { return nil }
+func (b *gatedBackend) CacheTTL() time.Duration { return b.ttl }
+func (b *gatedBackend) Entries(*Query) ([]*ldap.Entry, error) {
+	b.calls.Add(1)
+	<-b.release
+	return nil, b.err
+}
+
+// TestFailingStampedeNotCached: a stampede against a failing cacheable
+// provider runs it once, every waiter shares the failure (a partial
+// result), and — because errors are never cached — the next query
+// re-invokes.
+func TestFailingStampedeNotCached(t *testing.T) {
+	const clients = 32
+	backend := &gatedBackend{ttl: time.Hour, err: errors.New("provider down"),
+		release: make(chan struct{})}
+	s := New(Config{Suffix: hostDN(), Clock: softstate.NewFakeClock()})
+	s.Register(backend)
+	req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeWholeSubtree}
+
+	var done sync.WaitGroup
+	results := make(chan ldap.Result, clients)
+	for i := 0; i < clients; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			results <- s.Search(anonReq(), req, nullSink{})
+		}()
+	}
+	// Wait until every client is inside Search; from there each is a few
+	// non-blocking steps from joining the flight, so a short hold gets all
+	// of them there before the provider returns.
+	for s.Queries.Value() < clients {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(backend.release)
+	done.Wait()
+	close(results)
+	for res := range results {
+		if res.Code != ldap.ResultSuccess || res.Message == "" {
+			t.Fatalf("waiter result = %+v, want success flagged partial", res)
+		}
+	}
+	if got := backend.calls.Load(); got != 1 {
+		t.Fatalf("backend executed %d times under stampede, want 1", got)
+	}
+	if got := s.Coalesced.Value(); got != clients-1 {
+		t.Errorf("Coalesced = %d, want %d", got, clients-1)
+	}
+	if got := s.CacheHits.Value(); got != 0 {
+		t.Errorf("CacheHits = %d, want 0 (a shared failure is not a hit)", got)
+	}
+	s.Search(anonReq(), req, nullSink{})
+	if got := backend.calls.Load(); got != 2 {
+		t.Fatalf("backend executed %d times after the failed flight, want 2 (errors are not cached)", got)
+	}
+}
+
+// TestEmptyResultCachedForFullTTL: an empty provider result is cached like
+// any other, for the backend's whole TTL — not a shorter negative TTL.
+func TestEmptyResultCachedForFullTTL(t *testing.T) {
+	clock := softstate.NewFakeClock()
+	backend := &gatedBackend{ttl: 10 * time.Second, release: make(chan struct{})}
+	close(backend.release)
+	s := New(Config{Suffix: hostDN(), Clock: clock})
+	s.Register(backend)
+	req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeWholeSubtree}
+
+	s.Search(anonReq(), req, nullSink{})
+	clock.Advance(9 * time.Second)
+	s.Search(anonReq(), req, nullSink{})
+	if got := backend.calls.Load(); got != 1 {
+		t.Fatalf("calls = %d within TTL, want 1 (empty result cached)", got)
+	}
+	clock.Advance(2 * time.Second)
+	s.Search(anonReq(), req, nullSink{})
+	if got := backend.calls.Load(); got != 2 {
+		t.Fatalf("calls = %d after TTL, want 2", got)
+	}
 }

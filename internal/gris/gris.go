@@ -17,6 +17,7 @@ import (
 	"mds2/internal/gsi"
 	"mds2/internal/ldap"
 	"mds2/internal/obs"
+	"mds2/internal/qcache"
 	"mds2/internal/softstate"
 )
 
@@ -111,17 +112,8 @@ type Server struct {
 	cfg   Config
 	clock softstate.Clock
 
-	mu       sync.Mutex
-	backends []Backend
-
-	// cacheMu is a read-write lock so concurrent cache hits — the common
-	// case on the query hot path — never contend on a writer lock.
-	cacheMu sync.RWMutex
-	cache   map[string]*cacheEntry // backend name -> cached results
-
-	// flightMu guards the singleflight table coalescing concurrent misses.
-	flightMu sync.Mutex
-	flights  map[string]*flight // backend name -> in-progress invocation
+	mu        sync.Mutex
+	providers []provider
 
 	// Stats
 	Queries     obs.Counter
@@ -135,18 +127,12 @@ type Server struct {
 	sasl *gsi.SASLBinder
 }
 
-type cacheEntry struct {
-	entries   []*ldap.Entry
-	fetchedAt time.Time
-}
-
-// flight is one in-progress backend invocation that concurrent cache misses
-// share: the first miss runs the provider, later arrivals wait on done and
-// reuse its result instead of stampeding the backend.
-type flight struct {
-	done    chan struct{}
-	entries []*ldap.Entry
-	err     error
+// provider is a registered backend with its result cache: a one-key
+// qcache.Cache holding the backend's full-subtree superset, nil when the
+// backend's TTL disables caching.
+type provider struct {
+	Backend
+	cache *qcache.Cache
 }
 
 // New creates a GRIS.
@@ -157,8 +143,7 @@ func New(cfg Config) *Server {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 2 * time.Second
 	}
-	s := &Server{cfg: cfg, clock: cfg.Clock,
-		cache: map[string]*cacheEntry{}, flights: map[string]*flight{}}
+	s := &Server{cfg: cfg, clock: cfg.Clock}
 	if cfg.Keys != nil && cfg.Trust != nil {
 		s.sasl = gsi.NewSASLBinder(cfg.Keys, cfg.Trust, cfg.Clock.Now, cfg.TrustedDirectories)
 	}
@@ -178,18 +163,30 @@ func (s *Server) Suffix() ldap.DN { return s.cfg.Suffix }
 // Register plugs a backend into the GRIS (configuration "can be done
 // either dynamically or statically", §10.3).
 func (s *Server) Register(b Backend) {
+	p := provider{Backend: b}
+	if ttl := b.CacheTTL(); ttl > 0 {
+		// Empty results keep the full TTL: re-running a provider that found
+		// nothing costs as much as one that found something.
+		p.cache = qcache.New(qcache.Config{Clock: s.clock, TTL: ttl, NegTTL: ttl, Max: 1})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.backends = append(s.backends, b)
+	s.providers = append(s.providers, p)
+}
+
+// snapshot returns the registered providers.
+func (s *Server) snapshot() []provider {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]provider(nil), s.providers...)
 }
 
 // Backends returns the registered backend names.
 func (s *Server) Backends() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.backends))
-	for i, b := range s.backends {
-		out[i] = b.Name()
+	ps := s.snapshot()
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name()
 	}
 	return out
 }
@@ -204,26 +201,25 @@ func warmRoot(name string) ldap.DN {
 // WarmRestore prefills the per-provider cache from the warm store — call it
 // after persist.Manager.Recover has rebuilt the store and before serving.
 // Each cacheable backend whose warm namespace has entries starts with those
-// entries already cached; fetchedAt is back-dated so they stay fresh for
-// min(WarmGrace, TTL) and then roll over to a live invocation on the normal
-// expiry path. It returns the number of entries restored.
+// entries already cached, fresh for min(WarmGrace, TTL); they then roll
+// over to a live invocation on the normal expiry path. It returns the
+// number of entries restored.
 func (s *Server) WarmRestore() int {
 	ws := s.cfg.WarmStore
 	if ws == nil {
 		return 0
 	}
-	now := s.clock.Now()
-	s.mu.Lock()
-	backends := append([]Backend(nil), s.backends...)
-	s.mu.Unlock()
+	var bound time.Time // zero: the full TTL
+	if s.cfg.WarmGrace > 0 {
+		bound = s.clock.Now().Add(s.cfg.WarmGrace)
+	}
 	all := ws.All()
 	total := 0
-	for _, b := range backends {
-		ttl := b.CacheTTL()
-		if ttl <= 0 {
+	for _, p := range s.snapshot() {
+		if p.cache == nil {
 			continue // uncacheable backends are always invoked live
 		}
-		root := warmRoot(b.Name())
+		root := warmRoot(p.Name())
 		var entries []*ldap.Entry
 		for _, e := range all {
 			if e.DN.IsDescendantOf(root) {
@@ -236,13 +232,7 @@ func (s *Server) WarmRestore() int {
 			continue
 		}
 		ldap.SortEntries(entries)
-		grace := s.cfg.WarmGrace
-		if grace <= 0 || grace > ttl {
-			grace = ttl
-		}
-		s.cacheMu.Lock()
-		s.cache[b.Name()] = &cacheEntry{entries: entries, fetchedAt: now.Add(grace - ttl)}
-		s.cacheMu.Unlock()
+		p.cache.Put(p.Name(), qcache.Region{}, bound, entries)
 		total += len(entries)
 	}
 	return total
@@ -250,9 +240,11 @@ func (s *Server) WarmRestore() int {
 
 // FlushCache drops all cached provider results.
 func (s *Server) FlushCache() {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	s.cache = map[string]*cacheEntry{}
+	for _, p := range s.snapshot() {
+		if p.cache != nil {
+			p.cache.Flush()
+		}
+	}
 }
 
 // principal extracts the policy principal recorded at bind time.
@@ -411,24 +403,20 @@ func (s *Server) redact(p *gsi.Principal, e *ldap.Entry, op *ldap.SearchRequest)
 // evaluate runs the query against all intersecting backends, merging
 // results. It reports whether any backend declined for scope reasons.
 func (s *Server) evaluate(q *Query) ([]*ldap.Entry, bool) {
-	s.mu.Lock()
-	backends := append([]Backend(nil), s.backends...)
-	s.mu.Unlock()
-
 	var out []*ldap.Entry
 	partial := false
 	// Compile once per query: cached backends return supersets that are
 	// re-filtered per entry here, so the per-entry match must not re-fold.
 	cf := q.Filter.Compile()
-	for _, b := range backends {
-		if !regionsIntersect(q.Base, q.Scope, b.Suffix()) {
+	for _, p := range s.snapshot() {
+		if !regionsIntersect(q.Base, q.Scope, p.Suffix()) {
 			continue
 		}
-		if pruneByAttributes(q.Filter, b.Attributes()) {
+		if pruneByAttributes(q.Filter, p.Attributes()) {
 			continue
 		}
-		sp := q.Span.Child("backend:" + b.Name())
-		entries, err := s.fetch(b, q, sp)
+		sp := q.Span.Child("backend:" + p.Name())
+		entries, err := s.fetch(p, q, sp)
 		sp.End()
 		if err != nil {
 			if errors.Is(err, ErrScopeTooWide) {
@@ -461,108 +449,64 @@ func (s *Server) evaluate(q *Query) ([]*ldap.Entry, bool) {
 // parametric backends (whose output depends on the filter), are invoked
 // every time. Concurrent queries that miss an expired TTL are coalesced
 // into a single provider invocation: without that, every TTL boundary
-// under load turns into an N× stampede on the backend.
-func (s *Server) fetch(b Backend, q *Query, sp *obs.Span) ([]*ldap.Entry, error) {
-	ttl := b.CacheTTL()
-	if ttl <= 0 {
+// under load turns into an N× stampede on the backend. Failures are never
+// cached, so the next query after one re-invokes the provider.
+func (s *Server) fetch(p provider, q *Query, sp *obs.Span) ([]*ldap.Entry, error) {
+	if p.cache == nil {
 		s.Invocations.Inc()
 		sp.SetNote("invoke")
-		return b.Entries(q)
+		return p.Entries(q)
 	}
-	if entries, ok := s.cached(b.Name(), q.Now, ttl); ok {
+	// Freshness runs from the query's start, as the cached superset is what
+	// the provider would have answered at q.Now.
+	entries, how, err := p.cache.GetOrFill(p.Name(), qcache.Region{}, q.Now.Add(p.CacheTTL()),
+		func() ([]*ldap.Entry, error) { return s.invoke(p.Backend, q.Now) })
+	switch how {
+	case qcache.OutcomeHit:
 		s.CacheHits.Inc()
 		sp.SetNote("hit")
-		return entries, nil
-	}
-	s.CacheMisses.Inc()
-	return s.refresh(b, q.Now, ttl, sp)
-}
-
-// cached returns the fresh cache contents for a backend, if any. Reads take
-// only the shared lock, so cache hits never serialize behind each other.
-func (s *Server) cached(name string, now time.Time, ttl time.Duration) ([]*ldap.Entry, bool) {
-	s.cacheMu.RLock()
-	defer s.cacheMu.RUnlock()
-	if ce := s.cache[name]; ce != nil && now.Sub(ce.fetchedAt) < ttl {
-		return ce.entries, true
-	}
-	return nil, false
-}
-
-// refresh invokes the backend once per expiry, no matter how many queries
-// miss concurrently: the first miss becomes the flight leader and runs the
-// provider; the rest wait on the flight and share its result.
-func (s *Server) refresh(b Backend, now time.Time, ttl time.Duration, sp *obs.Span) ([]*ldap.Entry, error) {
-	name := b.Name()
-	s.flightMu.Lock()
-	if f := s.flights[name]; f != nil {
-		s.flightMu.Unlock()
+	case qcache.OutcomeCoalesced:
+		s.CacheMisses.Inc()
 		s.Coalesced.Inc()
+		if err == nil {
+			s.CacheHits.Inc()
+		}
 		sp.SetNote("miss,coalesced")
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		s.CacheHits.Inc()
-		return f.entries, nil
+	default:
+		s.CacheMisses.Inc()
+		sp.SetNote("miss,invoke")
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[name] = f
-	s.flightMu.Unlock()
-
-	// A previous leader may have refilled the cache between our miss and
-	// taking flight leadership; re-check before paying for an invocation.
-	if entries, ok := s.cached(name, now, ttl); ok {
-		f.entries = entries
-		s.finishFlight(name, f)
-		s.CacheHits.Inc()
-		sp.SetNote("hit")
-		return entries, nil
-	}
-
-	s.Invocations.Inc()
-	sp.SetNote("miss,invoke")
-	// Cacheable backends are queried for their full subtree so the cache
-	// is a superset serving any narrower query.
-	full := &Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now}
-	entries, err := b.Entries(full)
-	if err == nil {
-		s.cacheMu.Lock()
-		s.cache[name] = &cacheEntry{entries: entries, fetchedAt: now}
-		s.cacheMu.Unlock()
-		if ws := s.cfg.WarmStore; ws != nil {
-			// Write-through: replace the backend's warm subtree with the
-			// fresh superset so a post-crash WarmRestore sees the last
-			// completed invocation, never a blend of two rounds. Entries are
-			// re-rooted under a per-backend namespace so that backends
-			// sharing a suffix never wipe each other's warm state and
-			// restore attributes each entry to the backend that produced it.
-			// A warm-store write failure (sticky WAL error) must not fail
-			// the query — the live result is still correct; durability
-			// degrades to the previous round.
-			root := warmRoot(name)
-			ws.RemoveSubtree(root)
-			warm := make([]*ldap.Entry, 0, len(entries))
-			for _, e := range entries {
-				c := e.Clone()
-				c.DN = append(c.DN, root[0])
-				warm = append(warm, c)
-			}
-			_ = ws.PutAll(warm)
-		}
-	}
-	f.entries, f.err = entries, err
-	s.finishFlight(name, f)
 	return entries, err
 }
 
-// finishFlight publishes the flight result and retires it so the next
-// expiry starts a fresh invocation.
-func (s *Server) finishFlight(name string, f *flight) {
-	s.flightMu.Lock()
-	delete(s.flights, name)
-	s.flightMu.Unlock()
-	close(f.done)
+// invoke runs a cacheable backend for its full subtree, so the cache holds
+// a superset serving any narrower query, and writes the result through to
+// the warm store.
+func (s *Server) invoke(b Backend, now time.Time) ([]*ldap.Entry, error) {
+	s.Invocations.Inc()
+	full := &Query{Base: b.Suffix(), Scope: ldap.ScopeWholeSubtree, Now: now}
+	entries, err := b.Entries(full)
+	if ws := s.cfg.WarmStore; ws != nil && err == nil {
+		// Write-through: replace the backend's warm subtree with the
+		// fresh superset so a post-crash WarmRestore sees the last
+		// completed invocation, never a blend of two rounds. Entries are
+		// re-rooted under a per-backend namespace so that backends
+		// sharing a suffix never wipe each other's warm state and
+		// restore attributes each entry to the backend that produced it.
+		// A warm-store write failure (sticky WAL error) must not fail
+		// the query — the live result is still correct; durability
+		// degrades to the previous round.
+		root := warmRoot(b.Name())
+		ws.RemoveSubtree(root)
+		warm := make([]*ldap.Entry, 0, len(entries))
+		for _, e := range entries {
+			c := e.Clone()
+			c.DN = append(c.DN, root[0])
+			warm = append(warm, c)
+		}
+		_ = ws.PutAll(warm)
+	}
+	return entries, err
 }
 
 // persistentSearch implements push-mode GRIP on a GRIS by periodic

@@ -636,3 +636,36 @@ func TestWarmRestoreSharedSuffix(t *testing.T) {
 		seen[dn] = true
 	}
 }
+
+// TestWarmGraceCappedAtTTL: a warm grace longer than the backend TTL
+// grants only the TTL — the restored entry rolls over on the normal expiry
+// path.
+func TestWarmGraceCappedAtTTL(t *testing.T) {
+	clock := softstate.NewFakeClock()
+	ws := ldap.NewStore()
+	entries := []*ldap.Entry{ldap.NewEntry(hostDN()).
+		Add("objectclass", "computer").Add("hn", "hostX")}
+	cfg := Config{Suffix: hostDN(), Clock: clock, WarmStore: ws, WarmGrace: time.Hour}
+	s1 := New(cfg)
+	s1.Register(&fakeBackend{name: "static", suffix: hostDN(), ttl: 10 * time.Minute, entries: entries})
+	req := &ldap.SearchRequest{BaseDN: hostDN().String(), Scope: ldap.ScopeWholeSubtree}
+	s1.Search(anonReq(), req, &sink{})
+
+	s2 := New(cfg)
+	live := &fakeBackend{name: "static", suffix: hostDN(), ttl: 10 * time.Minute, entries: entries}
+	s2.Register(live)
+	if n := s2.WarmRestore(); n != 1 {
+		t.Fatalf("WarmRestore = %d, want 1", n)
+	}
+	clock.Advance(9 * time.Minute)
+	w := &sink{}
+	s2.Search(anonReq(), req, w)
+	if live.calls != 0 || len(w.entries) != 1 {
+		t.Fatalf("within TTL: calls = %d, entries = %d; want 0 and 1", live.calls, len(w.entries))
+	}
+	clock.Advance(2 * time.Minute)
+	s2.Search(anonReq(), req, &sink{})
+	if live.calls != 1 {
+		t.Fatalf("past TTL (grace %v > TTL): calls = %d, want 1", cfg.WarmGrace, live.calls)
+	}
+}

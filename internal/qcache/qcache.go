@@ -4,7 +4,8 @@
 // exist precisely so discovery queries are answered from cached soft state
 // instead of re-contacting every information provider (§3, §10.4), and the
 // MDS2 performance studies identify caching as the dominant factor in
-// throughput and response time under concurrent users.
+// throughput and response time under concurrent users. It is also the GRIS
+// per-provider result cache (§10.3): one single-key Cache per backend.
 //
 // Freshness is two-tier: a cached result expires at
 // min(now+TTL, contributing source's soft-state deadline), so a directory

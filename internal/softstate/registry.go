@@ -80,6 +80,10 @@ type Registry struct {
 	sweepGen uint64
 	sweepAt  time.Time
 	closed   bool
+	// done closes on Close, releasing pending sweep goroutines that would
+	// otherwise block on their timer (and keep the registry reachable) for
+	// up to a full TTL.
+	done chan struct{}
 	// expiredTotal counts entries that have ever expired (monotonic; the
 	// obs registry samples it as a counter without importing this package's
 	// consumers into a cycle).
@@ -104,7 +108,8 @@ func NewRegistry(clock Clock) *Registry {
 	if clock == nil {
 		clock = RealClock{}
 	}
-	return &Registry{clock: clock, items: map[string]*Item{}, subs: map[int]chan Event{}}
+	return &Registry{clock: clock, items: map[string]*Item{}, subs: map[int]chan Event{},
+		done: make(chan struct{})}
 }
 
 // SetOwns installs a shard-ownership admission check: Refresh and
@@ -349,6 +354,7 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	r.sweepGen++
+	close(r.done)
 	for id, ch := range r.subs {
 		delete(r.subs, id)
 		close(ch)
@@ -436,7 +442,11 @@ func (r *Registry) scheduleSweepLocked() {
 	}
 	timer := r.clock.After(wait)
 	go func() {
-		<-timer
+		select {
+		case <-timer:
+		case <-r.done:
+			return
+		}
 		r.mu.Lock()
 		if r.sweepGen != gen || r.closed {
 			r.mu.Unlock()

@@ -2,6 +2,7 @@ package softstate
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,29 @@ func TestCloseStopsEverything(t *testing.T) {
 
 // TestExpiryMonotonicityProperty: for any TTL and any advance pattern, an
 // entry is live iff the sum of advances since its last refresh is < TTL.
+// TestCloseReleasesSweepGoroutine: Close must release the pending sweep
+// goroutine at once rather than leave it blocked on its timer — and the
+// closed registry reachable — until the earliest registration would have
+// expired.
+func TestCloseReleasesSweepGoroutine(t *testing.T) {
+	clock := NewFakeClock()
+	base := runtime.NumGoroutine()
+	r := NewRegistry(clock)
+	r.Refresh("p1", nil, time.Hour)
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("goroutines = %d after Refresh, want a pending sweep above baseline %d", n, base)
+	}
+	r.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, want baseline %d (sweep still blocked on its timer)",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestExpiryMonotonicityProperty(t *testing.T) {
 	f := func(ttlSec uint8, steps []uint8) bool {
 		ttl := time.Duration(ttlSec%60+1) * time.Second
